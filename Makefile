@@ -1,15 +1,21 @@
 # Tier-1 verification (see ROADMAP.md). The pipeline is concurrent
 # end-to-end, so vet and the race detector are part of the baseline gate;
 # cover enforces the per-package statement-coverage floor.
-.PHONY: verify build test race vet bench bench-smoke cover fuzz-smoke servtest storetest acc acc-baseline
+.PHONY: verify build test race vet benchvet bench bench-smoke cover fuzz-smoke servtest storetest acc acc-baseline
 
-verify: build vet test race cover acc servtest storetest
+verify: build vet benchvet test race cover acc servtest storetest
 
 build:
 	go build ./...
 
 vet:
 	go vet ./...
+
+# perfbench is its own module (replace probedis => ../), so the root
+# build and vet never compile it; vet it separately so an API change
+# cannot break the benchmark unnoticed.
+benchvet:
+	cd perfbench && go vet ./...
 
 test:
 	go test ./...

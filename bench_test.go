@@ -167,26 +167,11 @@ func BenchmarkT4Ablation(b *testing.B) {
 	b.ReportMetric(nojt, "err/1k-nojt")
 }
 
-// BenchmarkT5Throughput measures end-to-end core throughput (bytes/sec as
-// B/s via SetBytes).
+// BenchmarkT5Throughput measures end-to-end core throughput of the
+// default (tiered) pipeline (bytes/sec as B/s via SetBytes) and reports
+// the decode-cache hit rate: the fraction of InstAt materializations
+// served from the per-graph cache instead of a fresh x86 decode.
 func BenchmarkT5Throughput(b *testing.B) {
-	e := benchSetup(b)
-	d := core.New(e.model)
-	b.SetBytes(corpusBytes(e.corpus))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, bin := range e.corpus {
-			d.Disassemble(bin.Code, bin.Base, int(bin.Entry-bin.Base))
-		}
-	}
-}
-
-// BenchmarkT5ThroughputTiered pins the tiered correction pass explicitly
-// (the default engine, spelled out so the number survives any future
-// default flip) and reports the decode-cache hit rate: the fraction of
-// InstAt materializations served from the per-graph cache instead of a
-// fresh x86 decode.
-func BenchmarkT5ThroughputTiered(b *testing.B) {
 	e := benchSetup(b)
 	d := core.New(e.model)
 	b.SetBytes(corpusBytes(e.corpus))
@@ -207,7 +192,7 @@ func BenchmarkT5ThroughputTiered(b *testing.B) {
 
 // BenchmarkT5ThroughputSinglePhase is the untiered reference: the same
 // corpus through the one-phase pipeline (statistics scored over every
-// byte). The delta against BenchmarkT5ThroughputTiered is the tiering
+// byte). The delta against BenchmarkT5Throughput is the tiering
 // win at matched accuracy (oracle.TestTieredMatchesSinglePhase).
 func BenchmarkT5ThroughputSinglePhase(b *testing.B) {
 	e := benchSetup(b)
@@ -293,7 +278,7 @@ func BenchmarkF3Convergence(b *testing.B) {
 	e := benchSetup(b)
 	d := core.New(e.model)
 	g := superset.Build(e.big.Code, e.big.Base)
-	viable := analysis.Viability(g)
+	viable, _ := analysis.ViabilityRanges(nil, g, core.ShardPlan(g.Len(), 0), nil)
 	scores := e.model.ScoreAll(g, 8)
 	hints, _ := d.CollectHints(g, viable, int(e.big.Entry-e.big.Base), scores)
 	b.ResetTimer()
@@ -460,8 +445,9 @@ func BenchmarkViability(b *testing.B) {
 	g := superset.Build(e.big.Code, e.big.Base)
 	b.SetBytes(int64(len(e.big.Code)))
 	b.ResetTimer()
+	plan := core.ShardPlan(g.Len(), 0)
 	for i := 0; i < b.N; i++ {
-		analysis.Viability(g)
+		analysis.ViabilityRanges(nil, g, plan, nil)
 	}
 }
 

@@ -109,7 +109,7 @@ func truthFromELF(r io.ReaderAt) (*synth.Truth, uint64, error) {
 		i = j
 	}
 
-	if err := validateLineTable(f, t, text.Addr, n); err != nil {
+	if err := validateLineTable(f, t, text.Addr, code); err != nil {
 		return nil, 0, err
 	}
 	return t, text.Addr, nil
@@ -136,9 +136,10 @@ func isNopFill(buf []byte) bool {
 }
 
 // validateLineTable checks every DWARF line-table address against the
-// extracted instruction starts. A binary without DWARF passes vacuously
-// (symbol sizes alone already bound the linear decode).
-func validateLineTable(f *elf.File, t *synth.Truth, base uint64, n int) error {
+// extracted instruction starts (see lineEntryOnBoundary). A binary
+// without DWARF passes vacuously (symbol sizes alone already bound the
+// linear decode).
+func validateLineTable(f *elf.File, t *synth.Truth, base uint64, code []byte) error {
 	d, err := f.DWARF()
 	if err != nil {
 		return nil // no debug info; symtab-only extraction
@@ -165,15 +166,47 @@ func validateLineTable(f *elf.File, t *synth.Truth, base uint64, n int) error {
 				continue
 			}
 			off := int(le.Address - base)
-			if off < 0 || off >= n {
+			if off < 0 || off >= len(code) {
 				continue // line entry for another section
 			}
-			if !t.InstStart[off] {
+			if !lineEntryOnBoundary(code, t.InstStart, off) {
 				return fmt.Errorf("elf: DWARF line entry at %#x is not a decoded instruction start: linear decode desynchronised",
 					le.Address)
 			}
 		}
 	}
+}
+
+// legacyPrefix marks the x86 legacy prefix bytes: lock, repne/rep, the
+// segment overrides and the operand/address-size overrides.
+var legacyPrefix = [256]bool{
+	0xf0: true, 0xf2: true, 0xf3: true,
+	0x2e: true, 0x36: true, 0x3e: true, 0x26: true, 0x64: true, 0x65: true,
+	0x66: true, 0x67: true,
+}
+
+// lineEntryOnBoundary reports whether a line-table entry at off agrees
+// with the decoded instruction starts: off is an instruction start, or
+// every byte between the start of the instruction enclosing off and off
+// itself is a legacy prefix. Go's line table places entries after a lock
+// prefix (a statement boundary at the cmpxchg of "lock cmpxchg"), which
+// does not desynchronise anything; an entry inside an opcode, ModRM,
+// displacement or immediate does.
+func lineEntryOnBoundary(code []byte, instStart []bool, off int) bool {
+	if instStart[off] {
+		return true
+	}
+	// An instruction is at most 15 bytes, so its start lies within 14
+	// bytes before any byte it covers.
+	for s := off - 1; s >= 0 && off-s < 15; s-- {
+		if !legacyPrefix[code[s]] {
+			return false
+		}
+		if instStart[s] {
+			return true
+		}
+	}
+	return false
 }
 
 func dedupSorted(a []int) []int {

@@ -145,3 +145,42 @@ func TestStrippedELFRejected(t *testing.T) {
 		t.Errorf("stripped ELF accepted: exit %d, %s", code, stderr)
 	}
 }
+
+// TestLineEntryOnBoundary: a line-table entry is accepted at an
+// instruction start or right after legacy prefixes of the enclosing
+// instruction (Go puts entries after a lock prefix), and rejected
+// anywhere inside the opcode, ModRM or immediate bytes.
+func TestLineEntryOnBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		code   []byte
+		starts []int
+		ok     []int
+		bad    []int
+	}{
+		// lock cmpxchg [rdi], ecx; ret
+		{"lock-cmpxchg", []byte{0xf0, 0x0f, 0xb1, 0x0f, 0xc3}, []int{0, 4}, []int{0, 1, 4}, []int{2, 3}},
+		// mov eax, 1
+		{"mov-imm32", []byte{0xb8, 0x01, 0x00, 0x00, 0x00}, []int{0}, []int{0}, []int{1, 2, 3, 4}},
+		// nopw cs:[rax+rax*1+0]: three prefixes before 0F 1F
+		{"prefixed-nop", []byte{0x66, 0x66, 0x2e, 0x0f, 0x1f, 0x84, 0x00, 0x00, 0x00, 0x00, 0x00}, []int{0},
+			[]int{1, 2, 3}, []int{4, 5, 6, 10}},
+		// popcnt rax, rax: a REX byte is not a legacy prefix
+		{"rex-after-rep", []byte{0xf3, 0x48, 0x0f, 0xb8, 0xc0}, []int{0}, []int{1}, []int{2, 3, 4}},
+	} {
+		starts := make([]bool, len(tc.code))
+		for _, s := range tc.starts {
+			starts[s] = true
+		}
+		for _, off := range tc.ok {
+			if !lineEntryOnBoundary(tc.code, starts, off) {
+				t.Errorf("%s: entry at +%d rejected, want accepted", tc.name, off)
+			}
+		}
+		for _, off := range tc.bad {
+			if lineEntryOnBoundary(tc.code, starts, off) {
+				t.Errorf("%s: entry at +%d accepted, want rejected", tc.name, off)
+			}
+		}
+	}
+}

@@ -82,7 +82,7 @@ func FuzzShardSplit(f *testing.F) {
 			shardBytes = -shardBytes
 		}
 		// Keep the fuzzed size in the multi-shard regime: anything at or
-		// above len(code) degenerates to the unsharded path, which
+		// above len(code) degenerates to the one-shard plan, which
 		// FuzzPipeline already covers.
 		if n := len(code); n > 0 && shardBytes >= n {
 			shardBytes = shardBytes%n + 1

@@ -16,6 +16,21 @@ func genBin(t testing.TB, seed int64, p synth.Profile, n int) (*synth.Binary, *s
 	return b, superset.Build(b.Code, b.Base)
 }
 
+// viability is ViabilityRanges over the one-range plan: the whole section
+// as a single shard, which needs no cascade sweep.
+func viability(g *superset.Graph) []bool {
+	v, _ := ViabilityRanges(nil, g, [][2]int{{0, g.Len()}}, nil)
+	return v
+}
+
+// callTargetHints counts and emits call-target hints over the whole
+// section as one range.
+func callTargetHints(g *superset.Graph, viable []bool) []Hint {
+	callers := make([]int32, g.Len())
+	CallTargetCountsRange(g, viable, 0, g.Len(), callers)
+	return CallTargetHintsOf(callers)
+}
+
 // TestViabilityCoversTruth: every ground-truth instruction must be viable
 // (viability is a sound filter — it may keep junk but must never reject
 // real code).
@@ -24,7 +39,7 @@ func TestViabilityCoversTruth(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			b, g := genBin(t, 31, p, 40)
-			viable := Viability(g)
+			viable := viability(g)
 			for off, s := range b.Truth.InstStart {
 				if s && !viable[off] {
 					t.Fatalf("true instruction at +%#x marked non-viable (op %v)",
@@ -49,13 +64,13 @@ func TestViabilityPoisoning(t *testing.T) {
 	// nop; nop; <invalid 0x06>: offsets 0 and 1 fall through into the
 	// invalid byte and must be non-viable.
 	g := superset.Build([]byte{0x90, 0x90, 0x06}, 0x1000)
-	v := Viability(g)
+	v := viability(g)
 	if v[0] || v[1] || v[2] {
 		t.Errorf("viability = %v, want all false", v)
 	}
 	// ret before the invalid byte stops the poison.
 	g = superset.Build([]byte{0x90, 0xc3, 0x06}, 0x1000)
-	v = Viability(g)
+	v = viability(g)
 	if !v[0] || !v[1] || v[2] {
 		t.Errorf("viability = %v, want [true true false]", v)
 	}
@@ -64,7 +79,7 @@ func TestViabilityPoisoning(t *testing.T) {
 func TestViabilityLoopIsViable(t *testing.T) {
 	// A self-loop (jmp -2) must remain viable (greatest fixpoint).
 	g := superset.Build([]byte{0xeb, 0xfe}, 0x1000)
-	if v := Viability(g); !v[0] {
+	if v := viability(g); !v[0] {
 		t.Error("self-loop marked non-viable")
 	}
 }
@@ -73,8 +88,8 @@ func TestViabilityLoopIsViable(t *testing.T) {
 // jump-table bytes, and every reported target must be a true instruction.
 func TestJumpTablePrecision(t *testing.T) {
 	b, g := genBin(t, 33, synth.ProfileComplex, 60)
-	viable := Viability(g)
-	tables := FindJumpTables(g, viable)
+	viable := viability(g)
+	tables := FindJumpTablesRange(g, viable, 0, g.Len(), nil)
 	if len(tables) == 0 {
 		t.Fatal("no jump tables found in complex corpus")
 	}
@@ -96,9 +111,9 @@ func TestJumpTablePrecision(t *testing.T) {
 // TestJumpTableRecall: most true jump-table bytes should be covered.
 func TestJumpTableRecall(t *testing.T) {
 	b, g := genBin(t, 34, synth.ProfileComplex, 80)
-	viable := Viability(g)
+	viable := viability(g)
 	covered := make([]bool, g.Len())
-	for _, jt := range FindJumpTables(g, viable) {
+	for _, jt := range FindJumpTablesRange(g, viable, 0, g.Len(), nil) {
 		for i := jt.Table; i < jt.Table+jt.Entries*jt.EntrySz; i++ {
 			covered[i] = true
 		}
@@ -126,8 +141,8 @@ func TestJumpTableRecall(t *testing.T) {
 // instruction starts.
 func TestCallTargetsAreFunctions(t *testing.T) {
 	b, g := genBin(t, 35, synth.ProfileO2, 60)
-	viable := Viability(g)
-	hints := CallTargetHints(g, viable)
+	viable := viability(g)
+	hints := callTargetHints(g, viable)
 	if len(hints) == 0 {
 		t.Fatal("no call-target hints")
 	}
@@ -151,8 +166,8 @@ func TestCallTargetsAreFunctions(t *testing.T) {
 
 func TestPrologueHintsPrecision(t *testing.T) {
 	b, g := genBin(t, 36, synth.ProfileO0, 60)
-	viable := Viability(g)
-	hints := PrologueHints(g, viable)
+	viable := viability(g)
+	hints := PrologueHintsRange(g, viable, 0, g.Len(), nil)
 	if len(hints) == 0 {
 		t.Fatal("no prologue hints in frame-pointer profile")
 	}

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"math"
-	"sort"
+	"sync/atomic"
 
 	"probedis/internal/stats"
 	"probedis/internal/superset"
@@ -17,78 +17,45 @@ func EntryHint(g *superset.Graph, entry int) []Hint {
 	return []Hint{{Kind: HintCode, Off: entry, Prio: PrioProof, Score: math.Inf(1), Src: "entry"}}
 }
 
-// CallTargetHints counts, over all viable superset offsets, how many
-// distinct direct-call sites target each offset. Offsets called from two
-// or more places are near-certain function entries (behavioural property:
-// data bytes rarely conspire to form multiple consistent calls to one
-// target); single-caller targets are medium evidence.
-func CallTargetHints(g *superset.Graph, viable []bool) []Hint {
-	// Counted in a dense slice rather than a map so hints come out in
-	// offset order: map iteration would shuffle the emitted sequence
-	// run-to-run, and hint collection must be deterministic.
-	callers := make([]int32, g.Len())
-	for off := 0; off < g.Len(); off++ {
-		if !viable[off] || g.At(off).Flow != x86.FlowCall {
-			continue
-		}
-		if t := g.TargetOff(off); t >= 0 && viable[t] {
-			callers[t]++
-		}
-	}
-	var hs []Hint
-	for t, n := range callers {
-		if n == 0 {
-			continue
-		}
-		hs = append(hs, callTargetHint(t, n))
-	}
-	return hs
-}
-
-func callTargetHint(t int, n int32) Hint {
-	prio := PrioMedium
-	if n >= 2 {
-		prio = PrioStrong
-	}
-	return Hint{
-		Kind: HintCode, Off: t, Prio: prio,
-		Score: float64(n), Src: "calltarget",
-	}
-}
-
-// CallTargetCountsRange accumulates, into counts, the per-target caller
-// counts contributed by direct-call sites in [from, to). Targets may lie
-// anywhere in the section: the caller-count property is global (two
-// callers in different shards still prove one entry), so the sharded
-// pipeline counts each shard's call sites separately and merges the maps
-// before emitting hints via CallTargetHintsFromCounts.
-func CallTargetCountsRange(g *superset.Graph, viable []bool, from, to int, counts map[int]int32) {
+// CallTargetCountsRange adds, into callers (a dense per-section slice
+// of length g.Len()), the caller counts contributed by the viable direct-
+// call sites in [from, to). Offsets called from two or more places are
+// near-certain function entries (behavioural property: data bytes rarely
+// conspire to form multiple consistent calls to one target); single-
+// caller targets are medium evidence. Targets may lie anywhere in the
+// section — the caller-count property is global, so two callers in
+// different shards still prove one entry — and shards count into the
+// same slice concurrently: the increments are atomic, and call sites are
+// sparse, so the atomics stay off the scan's hot path.
+func CallTargetCountsRange(g *superset.Graph, viable []bool, from, to int, callers []int32) {
 	for off := from; off < to; off++ {
 		if !viable[off] || g.At(off).Flow != x86.FlowCall {
 			continue
 		}
 		if t := g.TargetOff(off); t >= 0 && viable[t] {
-			counts[t]++
+			atomic.AddInt32(&callers[t], 1)
 		}
 	}
 }
 
-// CallTargetHintsFromCounts emits the exact hint sequence CallTargetHints
-// would produce from merged per-shard counts: targets in ascending offset
-// order (sorted here, because map iteration is unordered), priority from
-// the global caller total.
-func CallTargetHintsFromCounts(counts map[int]int32) []Hint {
-	if len(counts) == 0 {
-		return nil
-	}
-	targets := make([]int, 0, len(counts))
-	for t := range counts {
-		targets = append(targets, t)
-	}
-	sort.Ints(targets)
-	hs := make([]Hint, 0, len(targets))
-	for _, t := range targets {
-		hs = append(hs, callTargetHint(t, counts[t]))
+// CallTargetHintsOf emits one call-target hint per counted target, in
+// ascending offset order (the dense slice makes the order deterministic
+// where map iteration would shuffle it), with priority from the
+// section-wide caller total.
+func CallTargetHintsOf(callers []int32) []Hint {
+	var hs []Hint
+	for t, n := range callers {
+		if n == 0 {
+			continue
+		}
+		prio := PrioMedium
+		if n >= 2 {
+			prio = PrioStrong
+		}
+		hs = append(hs, Hint{
+			Kind: HintCode, Off: t, Prio: prio,
+			Score: float64(n), Src: "calltarget",
+		})
 	}
 	return hs
 }
@@ -106,14 +73,9 @@ var prologuePatterns = [][]byte{
 	{0x41, 0x57, 0x41, 0x56}, // push r15; push r14
 }
 
-// PrologueHints matches prologue byte patterns at offsets that follow a
-// padding byte, a return/jump boundary, or 16-byte alignment.
-func PrologueHints(g *superset.Graph, viable []bool) []Hint {
-	return PrologueHintsRange(g, viable, 0, g.Len(), nil)
-}
-
-// PrologueHintsRange is PrologueHints restricted to match offsets in
-// [from, to), appending to dst. The pattern bytes and the one-byte
+// PrologueHintsRange matches prologue byte patterns at viable offsets in
+// [from, to) that follow a padding byte, a return/jump boundary, or
+// 16-byte alignment, appending to dst. The pattern bytes and the one-byte
 // lookback read the section globally, so a shard sees exactly what the
 // full scan sees at every offset it owns; concatenating the shards'
 // output in shard order reproduces the full scan's sequence verbatim.

@@ -45,43 +45,22 @@ func BehaviorPenalty(g *superset.Graph, off, window int) float64 {
 	return penalty
 }
 
-// StatHints produces the statistical classification hints: for each viable
-// offset, the model's normalized log-odds (adjusted by the behavioural
-// penalty) yields a code hint (positive) or data hint (negative). scores
-// must come from Model.ScoreAll on the same graph.
-//
-// Data hints from the statistical layer are per-offset (Len 1): a single
-// offset scoring data-like does not say where the data region ends — the
-// corrector accumulates them.
+// StatHintsRange produces the statistical classification hints for the
+// offsets [from, to): for each viable offset, the model's normalized
+// log-odds (adjusted by the behavioural penalty) yields a code hint when
+// it clears threshold. scores is window-relative — scores[i] holds the
+// Model.ScoreWindowInto value of offset from+i and must cover to-from
+// entries — so a caller can score just the windows it needs (the tiered
+// pipeline's contested windows) or pass the slice [from:to] of a
+// section-length buffer. The behaviour penalty's chain walk reads the
+// whole graph, so hints do not depend on how the section is windowed;
+// the pipeline appends each window's hints to dst. from/to are clamped to
+// the section.
 //
 // threshold shifts the decision boundary: scores above it become code
-// hints, below it data hints (0 is the calibrated default; the F4
-// experiment sweeps it).
-func StatHints(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64) []Hint {
-	return StatHintsRange(g, viable, scores, penaltyWeight, threshold, 0, g.Len(),
-		make([]Hint, 0, g.Len()/2))
-}
-
-// StatHintsRange is StatHints restricted to offsets [from, to): it emits
-// exactly the hints StatHints would emit at those offsets (the behaviour
-// penalty's chain walk still reads the whole graph, so values are
-// identical). The tiered pipeline calls it once per contested window,
-// appending to dst. from/to are clamped to the section.
+// hints (0 is the calibrated default; the F4 experiment sweeps it).
 func StatHintsRange(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {
-	return statHintsImpl(g, viable, scores, 0, penaltyWeight, threshold, from, to, dst)
-}
-
-// StatHintsRangeRel is StatHintsRange with a window-relative score
-// buffer: scores[i] holds the score of offset from+i (and must cover
-// to-from entries). The sharded tiered pipeline stores scores per
-// contested window instead of in one section-length slice, so score
-// residency is O(contested bytes) rather than O(section); the emitted
-// hints are identical.
-func StatHintsRangeRel(g *superset.Graph, viable []bool, scores []float64, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {
-	return statHintsImpl(g, viable, scores, from, penaltyWeight, threshold, from, to, dst)
-}
-
-func statHintsImpl(g *superset.Graph, viable []bool, scores []float64, scoreBase int, penaltyWeight, threshold float64, from, to int, dst []Hint) []Hint {
+	base := from
 	if from < 0 {
 		from = 0
 	}
@@ -93,7 +72,7 @@ func statHintsImpl(g *superset.Graph, viable []bool, scores []float64, scoreBase
 		if !g.Valid(off) {
 			continue
 		}
-		s := scores[off-scoreBase]
+		s := scores[off-base]
 		if s <= -1e8 {
 			continue
 		}

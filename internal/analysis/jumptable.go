@@ -20,25 +20,21 @@ type JumpTable struct {
 // maxTableEntries bounds table scanning.
 const maxTableEntries = 1024
 
-// FindJumpTables recognises the three switch-dispatch idioms compilers
-// emit and validates their tables entry-by-entry against viability:
+// FindJumpTablesRange recognises the three switch-dispatch idioms
+// compilers emit and validates their tables entry-by-entry against
+// viability:
 //
 //  1. jmp [table + idx*8]            (absolute table, non-PIC)
 //  2. lea r,[rip+table]; mov r2,[r+idx*8]; jmp r2          (absolute)
 //  3. lea r,[rip+table]; movsxd r2,[r+idx*4]; add r2,r; jmp r2 (PIC)
 //
 // A validated table proves its bytes are data and its targets are code.
-func FindJumpTables(g *superset.Graph, viable []bool) []JumpTable {
-	return FindJumpTablesRange(g, viable, 0, g.Len(), nil)
-}
-
-// FindJumpTablesRange is FindJumpTables restricted to dispatch sites
-// anchored in [from, to), appending to dst. Only the anchor is bounded:
-// the dispatch chain, the bounds-check lookback and the table scan all
-// read the graph globally, so a table whose parts straddle a shard seam
-// is recovered identically by whichever shard owns its anchor —
-// concatenating shard outputs in shard order reproduces FindJumpTables'
-// sequence verbatim.
+// Only dispatch sites anchored in [from, to) are considered, and tables
+// are appended to dst. Only the anchor is bounded: the dispatch chain,
+// the bounds-check lookback and the table scan all read the graph
+// globally, so a table whose parts straddle a shard seam is recovered
+// identically by whichever shard owns its anchor — concatenating shard
+// outputs in shard order reproduces the whole-section scan verbatim.
 func FindJumpTablesRange(g *superset.Graph, viable []bool, from, to int, dst []JumpTable) []JumpTable {
 	out := dst
 	for off := from; off < to; off++ {

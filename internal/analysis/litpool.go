@@ -67,20 +67,15 @@ func FloatRunHints(g *superset.Graph) []Hint {
 	return hs
 }
 
-// LiteralPoolHints proves embedded floating-point constant pools: a
+// LiteralPoolHintsRange proves embedded floating-point constant pools: a
 // RIP-relative memory operand on an SSE/x87 instruction, or a RIP-relative
 // lea whose register is then dereferenced by an SSE/x87 load, pins the
-// referenced bytes as data.
-func LiteralPoolHints(g *superset.Graph, viable []bool) []Hint {
-	return LiteralPoolHintsRange(g, viable, 0, g.Len(), nil)
-}
-
-// LiteralPoolHintsRange is LiteralPoolHints restricted to referencing
-// instructions anchored in [from, to), appending to dst. The pool
+// referenced bytes as data. Only referencing instructions anchored in
+// [from, to) are considered, and hints are appended to dst. The pool
 // extension and the lea-deref chain read the section globally, so a pool
 // sitting across a shard seam is proven identically by the shard owning
 // its referencing load; shard outputs concatenated in shard order equal
-// the full scan's sequence.
+// the whole-section scan's sequence.
 func LiteralPoolHintsRange(g *superset.Graph, viable []bool, from, to int, dst []Hint) []Hint {
 	hs := dst
 	add := func(off, n int) {

@@ -39,8 +39,8 @@ func TestLiteralPoolDirect(t *testing.T) {
 	for _, direct := range []bool{true, false} {
 		code, pool := buildPool(t, direct)
 		g := superset.Build(code, 0x1000)
-		viable := Viability(g)
-		hints := LiteralPoolHints(g, viable)
+		viable := viability(g)
+		hints := LiteralPoolHintsRange(g, viable, 0, g.Len(), nil)
 		found := false
 		for _, h := range hints {
 			if h.Kind != HintData || h.Src != "litpool" {

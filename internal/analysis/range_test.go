@@ -51,12 +51,14 @@ func tile(n, shard int) [][2]int {
 }
 
 // TestViabilityRangesMatchesGlobal proves the sharded fixpoint lands on
-// exactly the mask Viability computes, for shard sizes from absurdly
-// small (every fallthrough crosses a seam) to larger than the section.
+// exactly the mask of the one-range plan — pure worklist propagation with
+// no cascade sweep, an independent evaluation order — for shard sizes
+// from absurdly small (every fallthrough crosses a seam) to just under
+// the section.
 func TestViabilityRangesMatchesGlobal(t *testing.T) {
 	for gi, g := range rangeTestGraphs(t) {
-		want := Viability(g)
-		for _, shard := range []int{64, 1000, 4096, 1 << 20} {
+		want := viability(g)
+		for _, shard := range []int{64, 1000, 4096, g.Len() - 1} {
 			got, err := ViabilityRanges(nil, g, tile(g.Len(), shard), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -74,12 +76,12 @@ func TestViabilityRangesMatchesGlobal(t *testing.T) {
 }
 
 // TestRangeAnalysesMatchGlobal proves each per-shard hint analysis,
-// concatenated over a shard tiling, reproduces its global counterpart's
-// output element for element — the property the sharded pipeline's exact
-// hint merge rests on.
+// concatenated over a shard tiling, reproduces its one-range output over
+// the whole section element for element — the property the pipeline's
+// exact hint merge rests on.
 func TestRangeAnalysesMatchGlobal(t *testing.T) {
 	for gi, g := range rangeTestGraphs(t) {
-		viable := Viability(g)
+		viable := viability(g)
 		for _, shard := range []int{128, 1000, 4096} {
 			shards := tile(g.Len(), shard)
 
@@ -87,7 +89,7 @@ func TestRangeAnalysesMatchGlobal(t *testing.T) {
 			for _, s := range shards {
 				pro = PrologueHintsRange(g, viable, s[0], s[1], pro)
 			}
-			if want := PrologueHints(g, viable); !hintsEq(want, pro) {
+			if want := PrologueHintsRange(g, viable, 0, g.Len(), nil); !hintsEq(want, pro) {
 				t.Fatalf("graph %d shard %d: prologue hints diverge", gi, shard)
 			}
 
@@ -95,7 +97,7 @@ func TestRangeAnalysesMatchGlobal(t *testing.T) {
 			for _, s := range shards {
 				lit = LiteralPoolHintsRange(g, viable, s[0], s[1], lit)
 			}
-			if want := LiteralPoolHints(g, viable); !hintsEq(want, lit) {
+			if want := LiteralPoolHintsRange(g, viable, 0, g.Len(), nil); !hintsEq(want, lit) {
 				t.Fatalf("graph %d shard %d: literal-pool hints diverge", gi, shard)
 			}
 
@@ -103,17 +105,17 @@ func TestRangeAnalysesMatchGlobal(t *testing.T) {
 			for _, s := range shards {
 				jts = FindJumpTablesRange(g, viable, s[0], s[1], jts)
 			}
-			if want := FindJumpTables(g, viable); !reflect.DeepEqual(want, jts) &&
+			if want := FindJumpTablesRange(g, viable, 0, g.Len(), nil); !reflect.DeepEqual(want, jts) &&
 				!(len(want) == 0 && len(jts) == 0) {
 				t.Fatalf("graph %d shard %d: jump tables diverge (%d vs %d)",
 					gi, shard, len(want), len(jts))
 			}
 
-			counts := map[int]int32{}
+			callers := make([]int32, g.Len())
 			for _, s := range shards {
-				CallTargetCountsRange(g, viable, s[0], s[1], counts)
+				CallTargetCountsRange(g, viable, s[0], s[1], callers)
 			}
-			if want := CallTargetHints(g, viable); !hintsEq(want, CallTargetHintsFromCounts(counts)) {
+			if want := callTargetHints(g, viable); !hintsEq(want, CallTargetHintsOf(callers)) {
 				t.Fatalf("graph %d shard %d: call-target hints diverge", gi, shard)
 			}
 		}

@@ -127,7 +127,7 @@ func TestDisassembleSectionContextCancels(t *testing.T) {
 	cancel()
 	// Feed the raw image bytes as a section: content is irrelevant, only
 	// the abort path is under test.
-	out, err := d.DisassembleSectionContext(ctx, img, 0x1000, -1, nil)
+	out, err := d.DisassembleSectionTraceContext(ctx, img, 0x1000, -1, nil, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -149,7 +149,7 @@ func TestShardedSectionCancelsAtEveryCheckpoint(t *testing.T) {
 	d := New(DefaultModel(), WithShardBytes(777), WithWorkers(1))
 
 	probe := &pollCtx{Context: context.Background()}
-	if _, err := d.DisassembleSectionContext(probe, bin.Code, bin.Base, entry, nil); err != nil {
+	if _, err := d.DisassembleSectionTraceContext(probe, bin.Code, bin.Base, entry, nil, nil); err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
 	polls := int(probe.polls.Load())
@@ -161,8 +161,8 @@ func TestShardedSectionCancelsAtEveryCheckpoint(t *testing.T) {
 		stride = polls / 128
 	}
 	for n := 1; n <= polls; n += stride {
-		out, err := d.DisassembleSectionContext(
-			ctxutil.CancelAfterChecks(context.Background(), n), bin.Code, bin.Base, entry, nil)
+		out, err := d.DisassembleSectionTraceContext(
+			ctxutil.CancelAfterChecks(context.Background(), n), bin.Code, bin.Base, entry, nil, nil)
 		if err != context.Canceled {
 			t.Fatalf("checkpoint %d/%d: err = %v, want context.Canceled", n, polls, err)
 		}
@@ -172,8 +172,8 @@ func TestShardedSectionCancelsAtEveryCheckpoint(t *testing.T) {
 	}
 	// Past the final checkpoint the run completes and still matches the
 	// unsharded reference byte for byte.
-	got, err := d.DisassembleSectionContext(
-		ctxutil.CancelAfterChecks(context.Background(), polls+1), bin.Code, bin.Base, entry, nil)
+	got, err := d.DisassembleSectionTraceContext(
+		ctxutil.CancelAfterChecks(context.Background(), polls+1), bin.Code, bin.Base, entry, nil, nil)
 	if err != nil {
 		t.Fatalf("countdown past final checkpoint: %v", err)
 	}

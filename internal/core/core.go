@@ -18,7 +18,6 @@ import (
 	"probedis/internal/analysis"
 	"probedis/internal/cfg"
 	"probedis/internal/correct"
-	"probedis/internal/ctxutil"
 	"probedis/internal/dis"
 	"probedis/internal/obs"
 	"probedis/internal/stats"
@@ -87,12 +86,13 @@ func WithWorkers(n int) Option { return func(d *Disassembler) { d.workers = n } 
 // of ~16x the section), viability and the anchored hint analyses run per
 // shard on the worker pool — stealing slots across shards and sections
 // within one request — and the per-shard outputs merge deterministically
-// into the exact stream the unsharded run produces, so the final
+// into the exact stream a one-shard plan produces, so the final
 // classification is byte-identical for every shard size (enforced by
 // oracle.CheckShards and the seam boundary-sweep suite). n <= 0 (the
-// default) disables sharding; positive values are clamped to a 256-byte
-// floor. Production guidance: a few MiB; tests sweep tiny values to park
-// seams on adversarial constructs.
+// default) runs every section as a single shard over the eager graph;
+// positive values are clamped to a 256-byte floor. Production guidance:
+// a few MiB; tests sweep tiny values to park seams on adversarial
+// constructs.
 func WithShardBytes(n int) Option {
 	return func(d *Disassembler) {
 		if n > 0 && n < minShardBytes {
@@ -168,7 +168,7 @@ func (d *Disassembler) Clone(opts ...Option) *Disassembler {
 // oracle, which checks that the hint stream is deterministic and totally
 // ordered.
 func (d *Disassembler) HintsFor(g *superset.Graph, entry int) []analysis.Hint {
-	viable := analysis.Viability(g)
+	viable, _ := analysis.ViabilityRanges(nil, g, ShardPlan(g.Len(), 0), nil)
 	var scores []float64
 	if d.useStats {
 		scores = make([]float64, g.Len())
@@ -212,126 +212,9 @@ func (d *Disassembler) DisassembleDetail(code []byte, base uint64, entry int) *D
 	return det
 }
 
-// run executes the pipeline stages on a built superset graph. sp is the
-// enclosing (per-section) trace span, or nil when tracing is off; every
-// stage the section's wall time goes to is a direct child of sp, so a
-// rendered trace accounts for the whole run.
-func (d *Disassembler) run(g *superset.Graph, entry int, sp *obs.Span) *Detail {
-	det, _ := d.runContext(nil, g, entry, sp)
-	return det
-}
-
-// runContext is run with cooperative cancellation: ctx is polled at
-// every stage boundary and, inside the correction hot loops, every few
-// thousand offsets (see correct.RunContext). Once ctx is done the run
-// aborts and returns (nil, ctx.Err()) — partial stage output is
-// discarded, never surfaced. A nil ctx (what run passes) keeps the exact
-// uncancellable behaviour, including byte-identical output.
-func (d *Disassembler) runContext(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span) (*Detail, error) {
-	return d.runContextPool(ctx, g, entry, sp, nil)
-}
-
-// runContextPool is runContext with an optional request-scoped work pool
-// (see workPool): the ELF driver passes one shared across its sections so
-// shard tasks steal idle section workers. It dispatches to the sharded
-// scheduler when the section exceeds the configured shard size.
-func (d *Disassembler) runContextPool(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
-	if d.shardedFor(g.Len()) {
-		return d.runSharded(ctx, g, entry, sp, pool)
-	}
-	vsp := sp.StartChild("viability")
-	viable := analysis.Viability(g)
-	vsp.End()
-	if ctxutil.Cancelled(ctx) {
-		return nil, ctxutil.Err(ctx)
-	}
-
-	// The tiered path defers statistical scoring and hints until the
-	// structural hints have been committed, then runs them only over the
-	// contested windows. It requires the statistical layer (otherwise
-	// there is nothing to defer) and the prioritized commit order (flat
-	// priorities erase the structural/statistical rank gap the phase
-	// split relies on — see correct.RunTieredContext).
-	tiered := d.useTier && d.useStats && !d.flatPrio
-
-	// Scores are consumed by StatHints and the corrector's gap fill and
-	// never escape this call, so the slice cycles through a pool instead
-	// of being reallocated for every section. On the tiered path the
-	// buffer is filled lazily per contested window; the stale values at
-	// settled offsets are never read (gap fill consults scores only at
-	// gap starts, and every gap is a subset of a contested window).
-	var scores []float64
-	if d.useStats {
-		scores = getScoreBuf(g.Len())
-		defer putScoreBuf(scores)
-		if !tiered {
-			ssp := sp.StartChild("stats")
-			d.model.ScoreAllInto(scores, g, d.window)
-			ssp.Count("scored", int64(len(scores)))
-			ssp.End()
-			if ctxutil.Cancelled(ctx) {
-				return nil, ctxutil.Err(ctx)
-			}
-		}
-	}
-	hsp := sp.StartChild("hints")
-	hints, tables := d.collectHints(ctx, g, viable, entry, scores, !tiered, hsp)
-	hsp.Count("hints", int64(len(hints)))
-	hsp.End()
-	// A cancellation observed by collectHints leaves the hint stream
-	// incomplete; abort before the partial stream reaches the corrector.
-	if ctxutil.Cancelled(ctx) {
-		return nil, ctxutil.Err(ctx)
-	}
-	if d.flatPrio {
-		for i := range hints {
-			hints[i].Prio = analysis.PrioStat
-			hints[i].Score = 0
-		}
-	}
-
-	csp := sp.StartChild("correct")
-	var out *correct.Outcome
-	var err error
-	var part *tier.Partition
-	statHints := 0
-	if tiered {
-		structural, weak := tier.SplitHints(hints)
-		out, err = correct.RunTieredContext(ctx, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
-			part = tier.FromStates(o.State)
-			tsp := csp.StartChild("tier")
-			tsp.Count("settled", int64(part.SettledBytes))
-			tsp.Count("contested", int64(part.ContestedBytes))
-			tsp.Count("windows", int64(len(part.Windows)))
-			tsp.End()
-			ssp := csp.StartChild("stats")
-			d.model.ScoreRangesInto(scores, g, d.window, part.Windows)
-			ssp.Count("scored", int64(part.ContestedBytes))
-			ssp.End()
-			shsp := csp.StartChild("stathints")
-			var stat []analysis.Hint
-			for _, w := range part.Windows {
-				stat = analysis.StatHintsRange(g, viable, scores, d.penaltyWeight, d.threshold, w[0], w[1], stat)
-			}
-			shsp.Count("hints", int64(len(stat)))
-			shsp.End()
-			statHints = len(stat)
-			return append(stat, weak...)
-		}, correct.Options{Scores: scores, Trace: csp})
-	} else {
-		out, err = correct.RunContext(ctx, g, viable, hints, correct.Options{Scores: scores, Trace: csp})
-	}
-	csp.End()
-	if err != nil {
-		return nil, err
-	}
-	return d.finish(ctx, g, entry, viable, tables, hints, statHints, out, part, sp)
-}
-
-// finish is the shared pipeline tail — result emission, function-seed
-// extraction and CFG recovery — identical for the unsharded and sharded
-// paths (both feed it the same correction outcome and hint stream, which
-// is what makes the sharded output byte-identical end to end).
+// finish is the pipeline tail — result emission, function-seed
+// extraction and CFG recovery — run on the correction outcome and the
+// merged hint stream, both of which are independent of the shard plan.
 func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int, viable []bool, tables []analysis.JumpTable, hints []analysis.Hint, statHints int, out *correct.Outcome, part *tier.Partition, sp *obs.Span) (*Detail, error) {
 	esp := sp.StartChild("emit")
 	res := dis.NewResult(g.Base, g.Len())
@@ -375,102 +258,19 @@ func (d *Disassembler) finish(ctx context.Context, g *superset.Graph, entry int,
 	}, nil
 }
 
-// CollectHints runs every enabled analysis and returns the combined hint
-// list (unsorted) plus discovered jump tables. scores may be nil when the
-// statistical layer is disabled. Exposed for the convergence experiment,
-// which replays correction with a bounded hint budget.
-//
-// The analyses are mutually independent (all read the immutable graph,
-// viability mask and scores), so they run on the disassembler's worker
-// pool. Their outputs are merged by concatenation in the fixed canonical
-// stage order below — entry, jump tables, call targets, prologues, data
-// patterns, literal pools, float runs, statistics — so the corrector sees
-// exactly the sequence the serial path produced, regardless of which
-// stage finished first.
+// CollectHints runs every enabled analysis over a one-shard plan and
+// returns the combined hint list (unsorted) plus discovered jump tables —
+// the same collector, task order and merge the pipeline uses. scores may
+// be nil when the statistical layer is disabled. Exposed for the
+// convergence experiment, which replays correction with a bounded hint
+// budget.
 func (d *Disassembler) CollectHints(g *superset.Graph, viable []bool, entry int, scores []float64) ([]analysis.Hint, []analysis.JumpTable) {
-	return d.collectHints(nil, g, viable, entry, scores, true, nil)
+	return d.collectShardHints(nil, g, viable, entry, scores, ShardPlan(g.Len(), 0), nil, newWorkPool(d.Workers()))
 }
 
-// collectHints is CollectHints with tracing and cancellation: each
-// analysis runs inside its own child span of sp — one span per analysis
-// per worker goroutine — recording the hint count it produced. ctx is
-// polled before each analysis starts (on both the serial and worker
-// paths); once it is done the remaining analyses are skipped, leaving an
-// incomplete hint stream the caller must discard after its own ctx check.
-// includeStat gates the statistical stage: the tiered pipeline passes
-// false and generates stat hints later, over the contested windows only.
-func (d *Disassembler) collectHints(ctx context.Context, g *superset.Graph, viable []bool, entry int, scores []float64, includeStat bool, sp *obs.Span) ([]analysis.Hint, []analysis.JumpTable) {
-	var tables []analysis.JumpTable
-
-	type stage struct {
-		name string
-		fn   func() []analysis.Hint
-	}
-	stages := []stage{
-		{"entry", func() []analysis.Hint { return analysis.EntryHint(g, entry) }},
-	}
-	if d.useJumpTables {
-		stages = append(stages, stage{"jumptable", func() []analysis.Hint {
-			tables = analysis.FindJumpTables(g, viable)
-			return analysis.JumpTableHints(tables)
-		}})
-	}
-	stages = append(stages,
-		stage{"calltarget", func() []analysis.Hint { return analysis.CallTargetHints(g, viable) }},
-		stage{"prologue", func() []analysis.Hint { return analysis.PrologueHints(g, viable) }},
-		stage{"datapattern", func() []analysis.Hint { return analysis.DataPatternHints(g) }},
-		stage{"literalpool", func() []analysis.Hint { return analysis.LiteralPoolHints(g, viable) }},
-	)
-	if d.useFloatRuns {
-		stages = append(stages, stage{"floatrun", func() []analysis.Hint { return analysis.FloatRunHints(g) }})
-	}
-	if includeStat && d.useStats && scores != nil {
-		stages = append(stages, stage{"stat", func() []analysis.Hint {
-			return analysis.StatHints(g, viable, scores, d.penaltyWeight, d.threshold)
-		}})
-	}
-
-	parts := make([][]analysis.Hint, len(stages))
-	runStage := func(i int) {
-		if ctxutil.Cancelled(ctx) {
-			return
-		}
-		ssp := sp.StartChild(stages[i].name)
-		parts[i] = stages[i].fn()
-		ssp.Count("hints", int64(len(parts[i])))
-		ssp.End()
-	}
-	if workers := d.Workers(); workers <= 1 {
-		for i := range stages {
-			runStage(i)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range stages {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				runStage(i)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	hints := make([]analysis.Hint, 0, total)
-	for _, p := range parts {
-		hints = append(hints, p...)
-	}
-	return hints, tables
-}
-
-// scorePool recycles per-section score slices (see Disassembler.run).
+// scorePool recycles score buffers: the section-length buffer of the
+// single-phase path and the contested-bytes buffer of the tiered path
+// (see windowScores).
 var scorePool sync.Pool
 
 func getScoreBuf(n int) []float64 {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"probedis/internal/ctxutil"
@@ -40,14 +39,6 @@ func (d *Disassembler) DisassembleSection(code []byte, base uint64, entry int, e
 	return det
 }
 
-// DisassembleSectionContext is DisassembleSection with cooperative
-// cancellation: once ctx is done the pipeline aborts between stages (and
-// within a few thousand offsets inside the superset/correction hot
-// loops) and returns (nil, ctx.Err()).
-func (d *Disassembler) DisassembleSectionContext(ctx context.Context, code []byte, base uint64, entry int, extern []superset.Range) (*Detail, error) {
-	return d.DisassembleSectionTraceContext(ctx, code, base, entry, extern, nil)
-}
-
 // DisassembleSectionTrace is DisassembleSection with stage tracing: every
 // pipeline stage (superset build, viability, statistical scoring, each
 // hint analysis, correction with its sub-phases, CFG recovery) becomes a
@@ -66,10 +57,11 @@ func (d *Disassembler) DisassembleSectionTraceContext(ctx context.Context, code 
 
 // disassembleSectionPool is DisassembleSectionTraceContext with an
 // optional request-scoped work pool shared across sections (see
-// workPool). Sections on the sharded path get a windowed graph
+// workPool). Sections whose shard plan has a seam get a windowed graph
 // (superset.BuildLazy, O(1) construction — decode cost is paid block by
 // block inside the stages that fault them in, so no "superset" span is
-// recorded); everything else keeps the eager parallel build.
+// recorded); one-shard sections keep the eager parallel build. Both run
+// the one scheduler, Disassembler.run.
 func (d *Disassembler) disassembleSectionPool(ctx context.Context, code []byte, base uint64, entry int, extern []superset.Range, sp *obs.Span, pool *workPool) (*Detail, error) {
 	sp.SetBytes(int64(len(code)))
 	var g *superset.Graph
@@ -93,7 +85,7 @@ func (d *Disassembler) disassembleSectionPool(ctx context.Context, code []byte, 
 		}
 	}
 	g.SetExtern(extern)
-	return d.runContextPool(ctx, g, entry, sp, pool)
+	return d.run(ctx, g, entry, sp, pool)
 }
 
 // DisassembleELFDetail is DisassembleELF returning the full pipeline
@@ -144,30 +136,7 @@ func (d *Disassembler) DisassembleELFTraceContext(ctx context.Context, img []byt
 	return d.disassembleFile(ctx, f, sp)
 }
 
-// DisassembleELFAt is DisassembleELFDetail over an io.ReaderAt — the
-// streaming-ingest seam: a spooled upload (memory-mapped or not) is
-// parsed through elfx.ParseAt, zero-copy when the source exposes a
-// resident view (elfx.ByteViewer), piecewise otherwise, so the image
-// never has to exist as one heap buffer.
-func (d *Disassembler) DisassembleELFAt(r io.ReaderAt, n int64) ([]SectionDetail, error) {
-	return d.DisassembleELFAtTraceContext(nil, r, n, nil)
-}
-
-// DisassembleELFAtTraceContext is DisassembleELFAt with tracing and
-// cooperative cancellation (see DisassembleELFTraceContext).
-func (d *Disassembler) DisassembleELFAtTraceContext(ctx context.Context, r io.ReaderAt, n int64, sp *obs.Span) ([]SectionDetail, error) {
-	psp := sp.StartChild("parse")
-	psp.SetBytes(n)
-	f, err := elfx.ParseAt(r, n)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	return d.disassembleFile(ctx, f, sp)
-}
-
-// disassembleFile runs the per-section pipeline over a parsed image —
-// the shared tail of the byte-slice and ReaderAt entry points.
+// disassembleFile runs the per-section pipeline over a parsed image.
 func (d *Disassembler) disassembleFile(ctx context.Context, f *elfx.File, sp *obs.Span) ([]SectionDetail, error) {
 	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
@@ -279,13 +248,7 @@ func ctxDone(ctx context.Context) <-chan struct{} {
 // DisassembleELF parses a (possibly fully stripped) ELF64 image and
 // disassembles every executable section.
 func (d *Disassembler) DisassembleELF(img []byte) ([]SectionResult, error) {
-	return d.DisassembleELFContext(nil, img)
-}
-
-// DisassembleELFContext is DisassembleELF with cooperative cancellation
-// (see DisassembleELFDetailContext).
-func (d *Disassembler) DisassembleELFContext(ctx context.Context, img []byte) ([]SectionResult, error) {
-	details, err := d.DisassembleELFTraceContext(ctx, img, nil)
+	details, err := d.DisassembleELFTraceContext(nil, img, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -137,7 +137,10 @@ func TestCollectHintsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := superset.Build(bin.Code, bin.Base)
-	viable := analysis.Viability(g)
+	viable, err := analysis.ViabilityRanges(nil, g, ShardPlan(g.Len(), 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scores := model.ScoreAll(g, 8)
 	entry := int(bin.Entry - bin.Base)
 

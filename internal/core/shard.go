@@ -41,8 +41,10 @@ func ShardPlan(n, shardBytes int) [][2]int {
 	return out
 }
 
-// shardedFor reports whether a section of n bytes runs the sharded path
-// under this configuration (at least two shards, so there is a seam).
+// shardedFor reports whether a section of n bytes gets the windowed
+// graph backend (superset.BuildLazy): only plans with at least two
+// shards do. Every section runs the same scheduler either way; a
+// one-shard plan simply keeps the eager side table.
 func (d *Disassembler) shardedFor(n int) bool {
 	return d.shardBytes > 0 && n > d.shardBytes
 }
@@ -73,10 +75,11 @@ func (d *Disassembler) maxResidentBlocks() int {
 // workPool is the request-scoped work-stealing pool: every section of one
 // request shares its slots, so shard tasks from a giant section drain
 // onto workers that finished their own (small) sections instead of
-// serializing behind the section fan-out. A task that cannot get a slot
-// runs inline on the submitter, so progress never deadlocks on a
-// saturated pool and a workers<=1 configuration degenerates to the exact
-// serial order (which the cancellation sweep relies on).
+// serializing behind the section fan-out. Each task runs on its own
+// goroutine once it holds a slot; tasks never take slots themselves, so a
+// saturated pool cannot deadlock, and at most cap(sem) tasks run at once.
+// A workers<=1 configuration runs every task inline in index order (which
+// the cancellation sweep relies on).
 type workPool struct {
 	sem chan struct{} // nil: always run inline (serial)
 }
@@ -88,8 +91,8 @@ func newWorkPool(workers int) *workPool {
 	return &workPool{sem: make(chan struct{}, workers)}
 }
 
-// run executes fn(0..n-1), stealing pool slots for parallelism where
-// available, and returns when all n calls finished.
+// run executes fn(0..n-1) on the pool's slots and returns when all n
+// calls finished.
 func (p *workPool) run(n int, fn func(int)) {
 	if p == nil || p.sem == nil || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -99,37 +102,42 @@ func (p *workPool) run(n int, fn func(int)) {
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				fn(i)
-			}(i)
-		default:
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p.sem <- struct{}{}
 			fn(i)
-		}
+			<-p.sem
+		}(i)
 	}
 	wg.Wait()
 }
 
-// runSharded is runContext for sections large enough to shard (see
-// WithShardBytes): viability and the per-shard hint analyses fan out over
-// the shard plan on the work-stealing pool, their outputs merge into the
-// exact hint stream the unsharded path produces (each analysis emits in
+// run executes the pipeline stages on a built superset graph over the
+// section's shard plan (ShardPlan; one shard unless WithShardBytes splits
+// the section): viability and the per-shard hint analyses fan out over
+// the plan on the work-stealing pool, their outputs merge into one hint
+// stream that does not depend on the plan (each analysis emits in
 // ascending anchor order, so concatenation in shard order reproduces the
-// global scan; call-target counts merge globally before emission), and
-// the corrector then consumes that stream under its usual total order —
-// which is the whole seam-resolution rule: no seam-local tie-breaking
-// exists to get wrong, so the output is byte-identical to the unsharded
-// run (enforced by oracle.CheckShards and the boundary-sweep suite).
+// one-shard scan; call-target counts accumulate section-wide before
+// emission), and the corrector then consumes that stream under its usual
+// total order — which is the whole seam-resolution rule: no seam-local
+// tie-breaking exists to get wrong, so the output is byte-identical for
+// every plan (enforced by oracle.CheckShards and the boundary-sweep
+// suite).
 //
-// On the default tiered configuration, statistical scores live in
-// per-contested-window buffers (see windowScores) and the graph is
-// windowed (superset.BuildLazy), so pipeline residency beyond the
-// unavoidable O(section) output arrays is O(shard x workers).
-func (d *Disassembler) runSharded(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
+// sp is the enclosing (per-section) trace span, or nil when tracing is
+// off; every stage the section's wall time goes to is a direct child of
+// sp. ctx is polled at every stage boundary and inside the hot loops;
+// once it is done the run returns (nil, ctx.Err()) and partial stage
+// output is discarded. pool is the request-scoped work pool (nil: a
+// fresh one sized by WithWorkers).
+//
+// On the default tiered configuration, statistical scores live in one
+// contested-bytes buffer (see windowScores), so scoring residency is
+// O(contested bytes); with the windowed graph, pipeline residency beyond
+// the unavoidable O(section) output arrays is O(shard x workers).
+func (d *Disassembler) run(ctx context.Context, g *superset.Graph, entry int, sp *obs.Span, pool *workPool) (*Detail, error) {
 	if pool == nil {
 		pool = newWorkPool(d.Workers())
 	}
@@ -143,12 +151,17 @@ func (d *Disassembler) runSharded(ctx context.Context, g *superset.Graph, entry 
 		return nil, err
 	}
 
+	// The tiered path defers statistical scoring and hints until the
+	// structural hints have been committed, then runs them only over the
+	// contested windows. It requires the statistical layer (otherwise
+	// there is nothing to defer) and the prioritized commit order (flat
+	// priorities erase the structural/statistical rank gap the phase
+	// split relies on — see correct.RunTieredContext).
 	tiered := d.useTier && d.useStats && !d.flatPrio
 	var scores []float64
 	if d.useStats && !tiered {
-		// Non-tiered sharded runs (ablations) keep the full-length pooled
-		// score buffer: correctness first, O(shard) scores only on the
-		// default tiered configuration.
+		// The single-phase path (ablations) scores every offset into a
+		// pooled section-length buffer; its hints include the stat stage.
 		scores = getScoreBuf(g.Len())
 		defer putScoreBuf(scores)
 		ssp := sp.StartChild("stats")
@@ -161,9 +174,11 @@ func (d *Disassembler) runSharded(ctx context.Context, g *superset.Graph, entry 
 	}
 
 	hsp := sp.StartChild("hints")
-	hints, tables := d.collectHintsSharded(ctx, g, viable, entry, scores, !tiered, shards, hsp, pool)
+	hints, tables := d.collectShardHints(ctx, g, viable, entry, scores, shards, hsp, pool)
 	hsp.Count("hints", int64(len(hints)))
 	hsp.End()
+	// A cancellation observed by the collector leaves the hint stream
+	// incomplete; abort before the partial stream reaches the corrector.
 	if ctxutil.Cancelled(ctx) {
 		return nil, ctxutil.Err(ctx)
 	}
@@ -179,7 +194,7 @@ func (d *Disassembler) runSharded(ctx context.Context, g *superset.Graph, entry 
 	// the CFG walk — reads the graph in scattered order, where faulting a
 	// whole block to serve one offset would thrash the resident-block cap.
 	// Point reads serve those misses at single-decode cost instead, keeping
-	// residency frozen at its scan-phase bound.
+	// residency frozen at its scan-phase bound (no-op on the eager graph).
 	g.SetPointReads(true)
 
 	csp := sp.StartChild("correct")
@@ -188,7 +203,8 @@ func (d *Disassembler) runSharded(ctx context.Context, g *superset.Graph, entry 
 	statHints := 0
 	if tiered {
 		structural, weak := tier.SplitHints(hints)
-		ws := &windowScores{}
+		var ws windowScores
+		defer ws.release()
 		out, err = correct.RunTieredContext(ctx, g, viable, structural, func(o *correct.Outcome) []analysis.Hint {
 			part = tier.FromStates(o.State)
 			tsp := csp.StartChild("tier")
@@ -197,13 +213,13 @@ func (d *Disassembler) runSharded(ctx context.Context, g *superset.Graph, entry 
 			tsp.Count("windows", int64(len(part.Windows)))
 			tsp.End()
 			ssp := csp.StartChild("stats")
-			ws.score(d, g, part.Windows, pool)
+			ws.score(d, g, part)
 			ssp.Count("scored", int64(part.ContestedBytes))
 			ssp.End()
 			shsp := csp.StartChild("stathints")
 			var stat []analysis.Hint
 			for i, w := range part.Windows {
-				stat = analysis.StatHintsRangeRel(g, viable, ws.bufs[i],
+				stat = analysis.StatHintsRange(g, viable, ws.bufs[i],
 					d.penaltyWeight, d.threshold, w[0], w[1], stat)
 			}
 			shsp.Count("hints", int64(len(stat)))
@@ -221,67 +237,74 @@ func (d *Disassembler) runSharded(ctx context.Context, g *superset.Graph, entry 
 	return d.finish(ctx, g, entry, viable, tables, hints, statHints, out, part, sp)
 }
 
-// collectHintsSharded is collectHints decomposed over the shard plan: the
-// anchored analyses (jump tables, call targets, prologues, literal pools,
-// and — on the non-tiered path — statistics) run once per shard as
-// independent tasks on the pool, while the inherently global stages
-// (entry; the raw-byte data-pattern runs, whose fill/string/pointer runs
-// are unbounded and must not be split) stay whole-section tasks riding
-// the same pool. Outputs merge in the fixed canonical stage order with
-// shards ascending inside each stage, which reproduces the serial
-// collectHints stream element for element.
-func (d *Disassembler) collectHintsSharded(ctx context.Context, g *superset.Graph, viable []bool, entry int, scores []float64, includeStat bool, shards [][2]int, sp *obs.Span, pool *workPool) ([]analysis.Hint, []analysis.JumpTable) {
+// collectShardHints runs every enabled analysis over the shard plan and
+// returns the merged hint stream (unsorted) plus the discovered jump
+// tables. The anchored analyses (jump tables, call targets, prologues,
+// literal pools, and — when scores is non-nil — statistics) run once per
+// shard as independent tasks on the pool, while the inherently global
+// stages (entry; the raw-byte data-pattern runs, whose fill/string/
+// pointer runs are unbounded and must not be split; float runs) are
+// whole-section tasks carried by shard 0. Outputs merge in the fixed
+// canonical stage order — entry, jump tables, call targets, prologues,
+// data patterns, literal pools, float runs, statistics — with shards
+// ascending inside each stage, so the stream is identical for every plan
+// and every worker count. Each task runs inside its own child span of sp;
+// ctx is polled before each task starts, and once it is done the
+// remaining tasks are skipped, leaving an incomplete stream the caller
+// must discard after its own ctx check.
+func (d *Disassembler) collectShardHints(ctx context.Context, g *superset.Graph, viable []bool, entry int, scores []float64, shards [][2]int, sp *obs.Span, pool *workPool) ([]analysis.Hint, []analysis.JumpTable) {
 	k := len(shards)
 	var entryPart, dataPart, floatPart []analysis.Hint
 	jtParts := make([][]analysis.JumpTable, k)
-	ctCounts := make([]map[int]int32, k)
+	callers := make([]int32, g.Len())
 	proParts := make([][]analysis.Hint, k)
 	litParts := make([][]analysis.Hint, k)
 	var statParts [][]analysis.Hint
+	if d.useStats && scores != nil {
+		statParts = make([][]analysis.Hint, k)
+	}
 
-	// Task order is shard-major — the whole-section tasks first, then every
-	// per-shard analysis for shard 0, then shard 1, ... — so consecutive
-	// tasks read the same windowed-graph blocks. Stage-major order (all
-	// jump-table shards, then all call-target shards, ...) would sweep the
-	// section once per stage and refault every block each time under the
-	// resident cap. Execution order is pure cost: each task writes only its
-	// own slot, and the merge below imposes the canonical stage order.
+	// Task order is shard-major — every analysis for shard 0, then shard
+	// 1, ... — so consecutive tasks read the same windowed-graph blocks.
+	// Stage-major order (all jump-table shards, then all call-target
+	// shards, ...) would sweep the section once per stage and refault
+	// every block each time under the resident cap. Shard 0 carries the
+	// whole-section tasks in their canonical positions, so a one-shard
+	// plan runs its tasks in exactly the canonical stage order. Execution
+	// order is pure cost: each task writes only its own slot (call-target
+	// counts add atomically), and the merge below imposes the canonical
+	// stage order.
 	type task struct {
 		name string
 		fn   func()
 	}
-	tasks := []task{
-		{"entry", func() { entryPart = analysis.EntryHint(g, entry) }},
-		{"datapattern", func() { dataPart = analysis.DataPatternHints(g) }},
-	}
-	if d.useFloatRuns {
-		tasks = append(tasks, task{"floatrun", func() { floatPart = analysis.FloatRunHints(g) }})
-	}
-	if includeStat && d.useStats && scores != nil {
-		statParts = make([][]analysis.Hint, k)
-	}
-	for i := range shards {
-		i := i
+	var tasks []task
+	for i, s := range shards {
+		from, to := s[0], s[1]
+		if i == 0 {
+			tasks = append(tasks, task{"entry", func() { entryPart = analysis.EntryHint(g, entry) }})
+		}
 		if d.useJumpTables {
 			tasks = append(tasks, task{"jumptable", func() {
-				jtParts[i] = analysis.FindJumpTablesRange(g, viable, shards[i][0], shards[i][1], nil)
+				jtParts[i] = analysis.FindJumpTablesRange(g, viable, from, to, nil)
 			}})
 		}
-		tasks = append(tasks, task{"calltarget", func() {
-			m := make(map[int]int32)
-			analysis.CallTargetCountsRange(g, viable, shards[i][0], shards[i][1], m)
-			ctCounts[i] = m
-		}})
-		tasks = append(tasks, task{"prologue", func() {
-			proParts[i] = analysis.PrologueHintsRange(g, viable, shards[i][0], shards[i][1], nil)
-		}})
+		tasks = append(tasks,
+			task{"calltarget", func() { analysis.CallTargetCountsRange(g, viable, from, to, callers) }},
+			task{"prologue", func() { proParts[i] = analysis.PrologueHintsRange(g, viable, from, to, nil) }})
+		if i == 0 {
+			tasks = append(tasks, task{"datapattern", func() { dataPart = analysis.DataPatternHints(g) }})
+		}
 		tasks = append(tasks, task{"literalpool", func() {
-			litParts[i] = analysis.LiteralPoolHintsRange(g, viable, shards[i][0], shards[i][1], nil)
+			litParts[i] = analysis.LiteralPoolHintsRange(g, viable, from, to, nil)
 		}})
+		if i == 0 && d.useFloatRuns {
+			tasks = append(tasks, task{"floatrun", func() { floatPart = analysis.FloatRunHints(g) }})
+		}
 		if statParts != nil {
 			tasks = append(tasks, task{"stat", func() {
-				statParts[i] = analysis.StatHintsRange(g, viable, scores,
-					d.penaltyWeight, d.threshold, shards[i][0], shards[i][1], nil)
+				statParts[i] = analysis.StatHintsRange(g, viable, scores[from:to],
+					d.penaltyWeight, d.threshold, from, to, nil)
 			}})
 		}
 	}
@@ -300,49 +323,56 @@ func (d *Disassembler) collectHintsSharded(ctx context.Context, g *superset.Grap
 	for _, p := range jtParts {
 		tables = append(tables, p...)
 	}
-	counts := make(map[int]int32)
-	for _, m := range ctCounts {
-		for t, n := range m {
-			counts[t] += n
-		}
+	parts := [][]analysis.Hint{entryPart, analysis.JumpTableHints(tables), analysis.CallTargetHintsOf(callers)}
+	parts = append(parts, proParts...)
+	parts = append(parts, dataPart)
+	parts = append(parts, litParts...)
+	parts = append(parts, floatPart)
+	parts = append(parts, statParts...)
+	total := 0
+	for _, p := range parts {
+		total += len(p)
 	}
-	var hints []analysis.Hint
-	hints = append(hints, entryPart...)
-	hints = append(hints, analysis.JumpTableHints(tables)...)
-	hints = append(hints, analysis.CallTargetHintsFromCounts(counts)...)
-	for _, p := range proParts {
-		hints = append(hints, p...)
-	}
-	hints = append(hints, dataPart...)
-	for _, p := range litParts {
-		hints = append(hints, p...)
-	}
-	hints = append(hints, floatPart...)
-	for _, p := range statParts {
+	hints := make([]analysis.Hint, 0, total)
+	for _, p := range parts {
 		hints = append(hints, p...)
 	}
 	return hints, tables
 }
 
-// windowScores holds the tiered path's statistical scores one contested
-// window at a time — the sharded replacement for the section-length score
-// buffer, sized O(contested bytes) instead of O(section).
+// windowScores holds the tiered path's statistical scores for the
+// contested windows only: one pooled buffer of ContestedBytes length,
+// carved into one window-relative slice per window, instead of a
+// section-length buffer.
 type windowScores struct {
 	windows [][2]int
 	bufs    [][]float64
+	buf     []float64
 }
 
-// score fills one buffer per window on the pool (windows are disjoint,
-// so writes never overlap; values are bit-identical to a full pass).
-func (ws *windowScores) score(d *Disassembler, g *superset.Graph, windows [][2]int, pool *workPool) {
-	ws.windows = windows
-	ws.bufs = make([][]float64, len(windows))
-	pool.run(len(windows), func(i int) {
-		w := windows[i]
-		buf := make([]float64, w[1]-w[0])
-		d.model.ScoreWindowInto(buf, g, d.window, w[0], w[1])
-		ws.bufs[i] = buf
-	})
+// score carves the buffer into one slice per window and fills them.
+// Values are bit-identical to a full pass. Windows are scored serially:
+// they are many and small (about 1,700 per MiB on real binaries), so a
+// task per window would cost more in scheduling than it saves.
+func (ws *windowScores) score(d *Disassembler, g *superset.Graph, part *tier.Partition) {
+	ws.windows = part.Windows
+	ws.buf = getScoreBuf(part.ContestedBytes)
+	ws.bufs = make([][]float64, len(part.Windows))
+	off := 0
+	for i, w := range part.Windows {
+		n := w[1] - w[0]
+		ws.bufs[i] = ws.buf[off : off+n : off+n]
+		d.model.ScoreWindowInto(ws.bufs[i], g, d.window, w[0], w[1])
+		off += n
+	}
+}
+
+// release returns the buffer to the score pool once the corrector, which
+// reads it through at, is done.
+func (ws *windowScores) release() {
+	if ws.buf != nil {
+		putScoreBuf(ws.buf)
+	}
 }
 
 // at serves a point lookup (correct.Options.ScoreAt): binary search for

@@ -37,7 +37,7 @@ func TestShardPlan(t *testing.T) {
 		t.Fatalf("WithShardBytes(7) not clamped to floor: %d", d.ShardBytes())
 	}
 	if d := New(nil, WithShardBytes(0)); d.ShardBytes() != 0 {
-		t.Fatalf("WithShardBytes(0) should disable sharding")
+		t.Fatalf("WithShardBytes(0) should keep the one-shard plan")
 	}
 }
 
@@ -123,8 +123,9 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardedMatchesUnshardedAblations covers the non-default paths the
-// sharded scheduler special-cases: no tiering (full score buffer), no
-// stats, flat priorities, float runs.
+// scheduler special-cases, on multi-shard plans against the one-shard
+// plan: no tiering (full score buffer), no stats, flat priorities, float
+// runs.
 func TestShardedMatchesUnshardedAblations(t *testing.T) {
 	bin := shardTestBins(t)[1]
 	entry := int(bin.Entry - bin.Base)
@@ -143,21 +144,25 @@ func TestShardedMatchesUnshardedAblations(t *testing.T) {
 }
 
 // TestShardedHintStreamIdentical pins the merge rule at its strongest:
-// the sharded collector's merged stream equals the serial collector's
-// stream element for element (not just as a sorted multiset), so the
-// corrector provably consumes the same sequence.
+// the collector's merged stream over a k-shard plan equals its stream
+// over the one-shard plan element for element (not just as a sorted
+// multiset), so the corrector provably consumes the same sequence. The
+// one-shard stream is what every unsharded section runs.
 func TestShardedHintStreamIdentical(t *testing.T) {
 	d := New(DefaultModel())
 	for bi, bin := range shardTestBins(t) {
 		g := superset.Build(bin.Code, bin.Base)
-		viable := analysis.Viability(g)
+		viable, err := analysis.ViabilityRanges(nil, g, ShardPlan(g.Len(), 0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		entry := int(bin.Entry - bin.Base)
 		scores := make([]float64, g.Len())
 		d.model.ScoreAllInto(scores, g, d.window)
-		want, wantTables := d.collectHints(nil, g, viable, entry, scores, true, nil)
+		want, wantTables := d.collectShardHints(nil, g, viable, entry, scores, ShardPlan(g.Len(), 0), nil, newWorkPool(1))
 		for _, shard := range []int{311, 2048} {
 			plan := ShardPlan(g.Len(), shard)
-			got, gotTables := d.collectHintsSharded(nil, g, viable, entry, scores, true, plan, nil, newWorkPool(1))
+			got, gotTables := d.collectShardHints(nil, g, viable, entry, scores, plan, nil, newWorkPool(1))
 			if !reflect.DeepEqual(want, got) {
 				for i := range want {
 					if i >= len(got) || want[i] != got[i] {

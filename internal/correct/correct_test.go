@@ -11,8 +11,14 @@ import (
 // snippets (viability is tested separately in package analysis).
 func buildGraph(code []byte) (*superset.Graph, []bool) {
 	g := superset.Build(code, 0x1000)
-	viable := analysis.Viability(g)
-	return g, viable
+	return g, viability(g)
+}
+
+// viability is analysis.ViabilityRanges over the whole section as one
+// range.
+func viability(g *superset.Graph) []bool {
+	v, _ := analysis.ViabilityRanges(nil, g, [][2]int{{0, g.Len()}}, nil)
+	return v
 }
 
 func TestCommitChainPropagates(t *testing.T) {

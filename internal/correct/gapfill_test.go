@@ -103,7 +103,7 @@ func TestGapFillNopPaddingBeforeExtern(t *testing.T) {
 	code := []byte{0xc3, 0x90, 0x90, 0x90}
 	g := superset.Build(code, 0x1000)
 	g.SetExtern([]superset.Range{{Start: 0x1004, End: 0x1010}})
-	v := analysis.Viability(g)
+	v := viability(g)
 	if !v[3] {
 		t.Fatal("precondition: final NOP should be viable via the extern fallthrough")
 	}

@@ -19,7 +19,7 @@ func quickGraph(t testing.TB) (*superset.Graph, []bool) {
 		t.Fatal(err)
 	}
 	g := superset.Build(b.Code, b.Base)
-	return g, analysis.Viability(g)
+	return g, viability(g)
 }
 
 // genHints produces an arbitrary (often nonsensical) hint list.

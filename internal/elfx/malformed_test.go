@@ -32,15 +32,14 @@ func put16(img []byte, off int, v uint16) []byte {
 	return out
 }
 
-// namedImage is one corpus case shared between the Parse malformed
-// tests and the ParseAt differential tests.
+// namedImage is one named case of the malformed-image corpus.
 type namedImage struct {
 	name string
 	img  []byte
 }
 
 // malformedImages builds the hostile-image corpus: every case must be
-// rejected by Parse (and, identically, by ParseAt).
+// rejected by Parse.
 func malformedImages(t *testing.T) []namedImage {
 	t.Helper()
 	img := baseImage(t)

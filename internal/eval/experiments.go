@@ -288,7 +288,7 @@ func (r *Runner) F3Convergence() (Table, error) {
 	}
 	d := core.New(r.Model)
 	g := superset.Build(b.Code, b.Base)
-	viable := analysis.Viability(g)
+	viable, _ := analysis.ViabilityRanges(nil, g, core.ShardPlan(g.Len(), 0), nil)
 	scores := r.Model.ScoreAll(g, 8)
 	hints, _ := d.CollectHints(g, viable, int(b.Entry-b.Base), scores)
 

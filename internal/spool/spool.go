@@ -212,39 +212,6 @@ func (b *Body) View() ([]byte, error) {
 	return b.view, nil
 }
 
-// ByteView implements the zero-copy fast path of elfx.ParseAt: it
-// returns the body bytes when they are already resident (in memory or
-// mapped) and nil otherwise, in which case the caller falls back to
-// ReadAt.
-func (b *Body) ByteView() []byte {
-	if b.done {
-		return nil
-	}
-	if b.file == nil {
-		return b.mem
-	}
-	return b.view
-}
-
-// ReadAt implements io.ReaderAt over the body without materializing a
-// full view.
-func (b *Body) ReadAt(p []byte, off int64) (int, error) {
-	if b.done {
-		return 0, errors.New("spool: ReadAt after Close")
-	}
-	if b.file == nil {
-		if off < 0 || off > int64(len(b.mem)) {
-			return 0, io.EOF
-		}
-		n := copy(p, b.mem[off:])
-		if n < len(p) {
-			return n, io.EOF
-		}
-		return n, nil
-	}
-	return b.file.ReadAt(p, off)
-}
-
 // Close releases the body: the mmap view is unmapped and the temp file
 // removed. Safe to call twice.
 func (b *Body) Close() error { return b.release(true) }

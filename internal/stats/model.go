@@ -240,42 +240,12 @@ func (m *Model) ScoreAllInto(out []float64, g *superset.Graph, window int) {
 	m.scoreAllParallel(out, g, window, workers, scoreRange)
 }
 
-// ScoreRangesInto computes the same per-offset values ScoreAllInto would
-// (each offset's LogOdds depends only on the graph, never on neighbouring
-// scores) restricted to the half-open windows [w[0], w[1]); offsets
-// outside every window are left untouched. The tiered pipeline scores
-// only the contested windows this way — the values at those offsets are
-// bit-identical to a full scoring pass. Windows out of range are clamped;
-// len(out) must equal g.Len().
-func (m *Model) ScoreRangesInto(out []float64, g *superset.Graph, window int, windows [][2]int) {
-	if len(out) != g.Len() {
-		panic("stats: ScoreRangesInto buffer length mismatch")
-	}
-	for _, w := range windows {
-		from, to := w[0], w[1]
-		if from < 0 {
-			from = 0
-		}
-		if to > g.Len() {
-			to = g.Len()
-		}
-		for off := from; off < to; off++ {
-			s, n := m.LogOdds(g, off, window)
-			if n == 0 {
-				out[off] = -1e9
-				continue
-			}
-			out[off] = s / float64(n)
-		}
-	}
-}
-
 // ScoreWindowInto computes the per-offset values of [from, to) into a
 // window-relative buffer: out[i] receives the score of offset from+i.
 // Values are bit-identical to the corresponding slice of a full scoring
-// pass (LogOdds reads only the graph). The sharded tiered pipeline uses
-// it to keep one small buffer per contested window instead of a
-// section-length slice. len(out) must be at least to-from.
+// pass (LogOdds reads only the graph). The tiered pipeline scores each
+// contested window into its slice of one contested-bytes buffer instead
+// of a section-length slice. len(out) must be at least to-from.
 func (m *Model) ScoreWindowInto(out []float64, g *superset.Graph, window, from, to int) {
 	if from < 0 {
 		from = 0
